@@ -200,12 +200,8 @@ func (a *Audit) Finish() []Violation {
 	for _, l := range e.Topo.Network().Links() {
 		a.aud.CheckLinkDrained(now, l)
 	}
-	until := e.stoppedAt
-	if until == 0 {
-		until = now
-	}
 	for _, o := range a.cfg.oracles {
-		a.checkOracle(o, until)
+		a.checkOracle(o, e.windowEnd())
 	}
 	return a.aud.Violations()
 }
@@ -277,9 +273,11 @@ func (e *Experiment) Pool() *PacketPool { return e.Topo.Network().Pool() }
 // are deflated first, so inflation joins are withdrawn rather than left
 // pinning the distribution tree), and TCP/CBR cross traffic halts. Packets
 // already queued or in flight terminate normally. Timeline events scripted
-// past the stop point still fire — stop after the scripted window when a
-// drained network is the goal. Idempotent; the first call records the
-// stop time as the end of the measurement window for audit oracles.
+// past the stop point still fire, except ReceiverJoin, which is a no-op
+// once traffic has stopped: a rejoined receiver would keep its feedback
+// loop running through the drain. Stop after the scripted window when the
+// other events should run their course. Idempotent; the first call records
+// the stop time as the end of the measurement window for audit oracles.
 func (e *Experiment) StopTraffic() {
 	e.Start()
 	for _, c := range e.churns {
@@ -303,9 +301,19 @@ func (e *Experiment) StopTraffic() {
 	for _, c := range e.cbrs {
 		c.Stop()
 	}
-	if e.stoppedAt == 0 {
+	if !e.stopped {
+		e.stopped = true
 		e.stoppedAt = e.Now()
 	}
+}
+
+// windowEnd is the end of the measurement window: the stop of traffic, or
+// now while traffic still flows.
+func (e *Experiment) windowEnd() Time {
+	if e.stopped {
+		return e.stoppedAt
+	}
+	return e.Now()
 }
 
 // CheckDrained runs the post-drain structural invariants without requiring

@@ -48,7 +48,8 @@ type Experiment struct {
 
 	nextID    uint16
 	started   bool
-	stoppedAt Time // when StopTraffic first ran; 0 while traffic flows
+	stopped   bool // StopTraffic has run
+	stoppedAt Time // when StopTraffic first ran
 	sessions  []*ExperimentSession
 	tcps      []*TCPFlow
 	cbrs      []*CBR

@@ -92,6 +92,18 @@ func TestRunReproducible(t *testing.T) {
 	}
 }
 
+// A join scripted past the end of the run must not restart its receiver
+// after StopTraffic. Seeds 399 and 3657 script such a join for an abr-cf
+// receiver, whose per-slot congestion reports would otherwise keep one
+// feedback packet in flight at the drain audit.
+func TestLateJoinDoesNotBreakDrain(t *testing.T) {
+	for _, seed := range []uint64{399, 3657} {
+		if out := Run(Generate(seed), nil); out.Failed() {
+			t.Errorf("seed %d failed: %+v %s", seed, out.Violations, out.Err)
+		}
+	}
+}
+
 // Campaign outcomes are identical at any worker count — the property the
 // fuzz-smoke CI job and the golden corpus rely on.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {

@@ -29,7 +29,8 @@ type TimelineEvent interface {
 // ReceiverJoin (re)starts a receiver mid-run: it joins the session at the
 // minimal level through its protocol's control path (IGMP or SIGMA
 // session-join). Session and Receiver are 1-based, matching labels like
-// S1R2. Joining an already-joined receiver is a no-op.
+// S1R2. Joining an already-joined receiver, or joining after StopTraffic,
+// is a no-op.
 type ReceiverJoin struct {
 	At       Time
 	Session  int
@@ -41,7 +42,11 @@ func (ev ReceiverJoin) resolve(e *Experiment) error {
 	if err != nil {
 		return err
 	}
-	e.timeline.Add(ev.At, r.Start)
+	e.timeline.Add(ev.At, func() {
+		if !e.stopped {
+			r.Start()
+		}
+	})
 	return nil
 }
 
